@@ -37,8 +37,8 @@ def host_info() -> Dict[str, object]:
     ``usable_cpus`` is the count this *process* may actually run on
     (``os.process_cpu_count()`` where available — 3.13+ — else the
     scheduling affinity mask), which is the honest number for parallel
-    runs: this container typically exposes 1 usable core, so recorded
-    pool/shard runs show dispatch overhead, not speedup.
+    runs: with fewer usable cores than workers, the extra workers add
+    dispatch overhead, not speedup (see :func:`parallel_caveat`).
     """
     process_cpu_count = getattr(os, "process_cpu_count", None)
     usable: Optional[int] = None
@@ -63,6 +63,31 @@ def host_info_line() -> str:
     return (
         f"- machine: {info['platform']}, python {info['python']}, "
         f"{info['usable_cpus']} usable CPU core(s) of {info['cpu_count']} visible"
+    )
+
+
+def parallel_caveat(workers: int) -> str:
+    """One sentence on what a run with up to ``workers`` processes can show here.
+
+    Derived from :func:`host_info`'s ``usable_cpus``, so a results file
+    recorded on any host describes that host.
+    """
+    usable = host_info()["usable_cpus"] or 1
+    cores = f"{usable} usable core{'s' if usable != 1 else ''}"
+    if usable == 1:
+        return (
+            f"This host has {cores}: parallel rows measure process dispatch "
+            "overhead, not speedup."
+        )
+    if usable < workers:
+        return (
+            f"This host has {cores}: rows with more than {usable} workers add "
+            "dispatch overhead on top of at most a "
+            f"{usable}x speedup."
+        )
+    return (
+        f"This host has {cores}, at least one per worker: parallel rows can "
+        "show real speedup, net of dispatch overhead."
     )
 
 

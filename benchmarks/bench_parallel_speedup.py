@@ -11,9 +11,8 @@ a wrong-but-fast engine scores zero.
 The parallelism exposed is structural: BF ships T independent snapshot
 units, CLUDE/CINC one unit per cluster, INC a single chain (included as the
 no-parallelism control).  Achieved speedup is therefore bounded by
-min(workers, units, physical cores); the results file records the machine's
-core count because a single-core container can verify the bitwise contract
-but cannot exhibit wall-clock speedup.
+min(workers, units, usable cores); the results file records the host's
+usable core count and says what the parallel rows can show on it.
 
 Runs standalone::
 
@@ -35,7 +34,7 @@ from repro.core.clude import decompose_sequence_clude
 from repro.core.inc import decompose_sequence_inc
 from repro.exec import ParallelExecutor, canonical_sequence_state
 
-from _shared import host_info_line
+from _shared import host_info_line, parallel_caveat
 
 ALPHA = 0.95
 
@@ -89,7 +88,9 @@ def run(snapshots: int, worker_counts: List[int]) -> Tuple[List[str], List[List[
     return header, rows
 
 
-def format_markdown(header: List[str], rows: List[List[str]], snapshots: int) -> str:
+def format_markdown(
+    header: List[str], rows: List[List[str]], snapshots: int, workers: int
+) -> str:
     lines = [
         "# Parallel execution engine: speedup vs. workers",
         "",
@@ -107,11 +108,9 @@ def format_markdown(header: List[str], rows: List[List[str]], snapshots: int) ->
         lines.append("| " + " | ".join(row) + " |")
     lines += [
         "",
-        "Speedup is bounded by min(workers, work units, physical cores): BF exposes "
-        "T units, CINC/CLUDE one per cluster, INC a single chain (control). On a "
-        "single-core machine the engine verifies the bitwise contract but parallel "
-        "wall-clock includes pure process-pool overhead; re-run on a multi-core host "
-        "to reproduce the speedup-vs-cores curve.",
+        "Speedup is bounded by min(workers, work units, usable cores): BF exposes "
+        "T units, CINC/CLUDE one per cluster, INC a single chain (control). "
+        + parallel_caveat(workers),
         "",
     ]
     return "\n".join(lines)
@@ -129,7 +128,7 @@ def main() -> None:
     print(f"parallel speedup benchmark: T={args.snapshots}, "
           f"workers={args.workers}, cores={os.cpu_count()}")
     header, rows = run(args.snapshots, list(args.workers))
-    markdown = format_markdown(header, rows, args.snapshots)
+    markdown = format_markdown(header, rows, args.snapshots, max(args.workers))
     print()
     print(markdown)
     if args.output:

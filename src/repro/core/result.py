@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -84,11 +84,6 @@ class MatrixDecomposition:
     structural_ops:
         Structural adjacency-list operations performed while producing these
         factors (always 0 for CLUDE's static structures).
-    error:
-        Annotated failure report of a report-don't-raise work unit
-        (``FACTOR`` / ``REFRESH``): non-``None`` iff ``factors`` is ``None``
-        because the unit's numerical work failed.  Sequence decompositions
-        never set it.
     """
 
     index: int
@@ -97,7 +92,6 @@ class MatrixDecomposition:
     fill_size: int
     cluster_id: int = 0
     structural_ops: int = 0
-    error: Optional[str] = None
 
     def solve(self, b: Sequence[float]) -> np.ndarray:
         """Solve ``A_i x = b`` using the stored factors and ordering."""

@@ -236,11 +236,7 @@ class EMSSolver:
             raise MeasureError(f"snapshot index {index} out of bounds for T={len(self._ems)}")
         return ("ems", id(self), int(index))
 
-    def seed_planner(
-        self,
-        planner: Optional[QueryPlanner] = None,
-        executor: Union[Executor, int, None] = None,
-    ) -> QueryPlanner:
+    def seed_planner(self, planner: Optional[QueryPlanner] = None) -> QueryPlanner:
         """Seed a query planner's factor cache with this solver's factors.
 
         One :class:`~repro.query.spec.FactorizedSystem` per EMS index is
@@ -252,26 +248,20 @@ class EMSSolver:
         for answering *similar* snapshots beyond the sequence.  Requires
         graph context (:meth:`from_graphs`): a bare-EMS solver cannot know
         which ``(kind, damping)`` its matrices encode, and seeding under a
-        guessed key would answer queries from the wrong system.  ``executor``
-        and the solver's ``policy`` only apply when a fresh planner is
-        created here; an existing planner keeps its own executor and policy.
+        guessed key would answer queries from the wrong system.  The
+        solver's ``policy`` only applies when a fresh planner is created
+        here; an existing planner keeps its own policy.  The solver's
+        ``executor`` schedules :meth:`decompose` only: planner misses are
+        resolved in-process.
         """
         if self._egs is None:
             raise MeasureError(
                 "this EMSSolver has no graph context; build it with "
                 "EMSSolver.from_graphs to seed query planners"
             )
-        if planner is not None and executor is not None:
-            raise MeasureError(
-                "pass executor only when seed_planner creates the planner; "
-                "an existing planner keeps its own executor"
-            )
         result = self.decompose()
         if planner is None:
-            planner = QueryPlanner(
-                executor=executor if executor is not None else self._executor,
-                policy=self._policy,
-            )
+            planner = QueryPlanner(policy=self._policy)
         for index, matrix in enumerate(self._ems):
             decomposition = result[index]
             token = self.system_token(index)

@@ -69,11 +69,11 @@ class StoreFormatError(StoreError):
 
 
 class FactorizationError(MeasureError):
-    """Raised when one or more planner factor units failed.
+    """Raised when one or more of a batch's cold factorizations failed.
 
-    Carries the annotated per-unit failure reports (``unit_id`` plus the
-    failing system's description), so a poisoned query in a large batch is
-    diagnosable instead of surfacing as a bare worker traceback.
+    Carries one annotated report per failed group (its index among the
+    batch's cold groups plus the failing system's description), so a
+    poisoned query in a large batch is diagnosable.
     """
 
     def __init__(self, failures) -> None:

@@ -24,7 +24,6 @@ from repro.exec.plan import (
     WorkUnit,
     plan_bf,
     plan_clustered,
-    plan_factor_batch,
     plan_inc,
 )
 from repro.exec.units import UnitResult, execute_unit
@@ -36,7 +35,6 @@ __all__ = [
     "plan_bf",
     "plan_inc",
     "plan_clustered",
-    "plan_factor_batch",
     "UnitResult",
     "execute_unit",
     "Executor",

@@ -26,12 +26,8 @@ from repro.core.clustering import MatrixCluster
 from repro.errors import EmptySequenceError, MeasureError
 from repro.sparse.csr import SparseMatrix
 
-#: Algorithms whose plans this module knows how to build.  ``REFRESH`` is the
-#: query planner's delta-refresh unit: a Bennett update of cloned factors
-#: instead of a from-scratch decomposition.  ``FACTOR`` is the planner's
-#: cold-factorization unit: the BF body per matrix, but with failures
-#: *reported* on the decomposition instead of raised out of the worker.
-PLANNABLE_ALGORITHMS = ("BF", "INC", "CINC", "CLUDE", "REFRESH", "FACTOR")
+#: Algorithms whose plans this module knows how to build.
+PLANNABLE_ALGORITHMS = ("BF", "INC", "CINC", "CLUDE")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,88 +149,6 @@ def plan_bf(matrices: Sequence[SparseMatrix]) -> ExecutionPlan:
         for index, matrix in enumerate(matrices)
     )
     return ExecutionPlan(algorithm="BF", sequence_length=len(matrices), units=units)
-
-
-def plan_factor_batch(
-    matrices: Sequence[SparseMatrix],
-    labels: Optional[Sequence[Optional[str]]] = None,
-) -> ExecutionPlan:
-    """Plan a bag of *independent* system factorizations, one unit each.
-
-    This is the query planner's cache-miss fan-out: each distinct system
-    matrix of a query batch is Markowitz-ordered and Crout-decomposed by the
-    standard BF unit body, so factor groups ride the same executors (and the
-    same bitwise serial≡parallel contract) as sequence decompositions.
-
-    Unlike sequence BF units, a failure inside a ``FACTOR`` unit (singular
-    system, malformed custom matrix) is **reported** on the resulting
-    decomposition (``factors=None`` plus an annotated ``error`` naming the
-    unit and its ``label``) rather than raised — raising inside a worker
-    aborts every sibling unit of the batch with a bare traceback, turning one
-    poisoned query into an undiagnosable batch-wide error.  ``labels``
-    optionally attaches a human-readable system description (e.g. the
-    :class:`~repro.query.spec.SystemKey` summary) to each unit for exactly
-    that report.
-    """
-    matrices = list(matrices)
-    if not matrices:
-        raise EmptySequenceError("cannot plan an empty factor batch")
-    if labels is None:
-        labels = [None] * len(matrices)
-    labels = list(labels)
-    if len(labels) != len(matrices):
-        raise MeasureError(
-            f"got {len(labels)} labels for {len(matrices)} factor matrices"
-        )
-    units = tuple(
-        WorkUnit(
-            unit_id=index,
-            algorithm="FACTOR",
-            start=index,
-            members=(matrix,),
-            cluster_id=index,
-            options=_freeze_options({"label": label} if label is not None else None),
-        )
-        for index, (matrix, label) in enumerate(zip(matrices, labels))
-    )
-    return ExecutionPlan(
-        algorithm="FACTOR", sequence_length=len(matrices), units=units
-    )
-
-
-def plan_refresh_batch(
-    jobs: Sequence[Tuple[SparseMatrix, object, object, Dict]],
-) -> ExecutionPlan:
-    """Plan a bag of independent factor refreshes, one unit each.
-
-    Each job is ``(new_matrix, factors, ordering, delta)``: a cloned factor
-    container currently holding the *old* system's LU, the ordering it was
-    decomposed under, and the sparse system-matrix delta **already mapped
-    into reordered coordinates**.  The unit body Bennett-updates the clone in
-    place; a numerical failure (pattern violation, pivot breakdown) is
-    reported as ``factors=None`` in the unit's decomposition rather than
-    raised, so one failed refresh falls back to a cold factorization without
-    aborting its siblings.
-    """
-    jobs = list(jobs)
-    if not jobs:
-        raise EmptySequenceError("cannot plan an empty refresh batch")
-    units = tuple(
-        WorkUnit(
-            unit_id=index,
-            algorithm="REFRESH",
-            start=index,
-            members=(matrix,),
-            cluster_id=index,
-            options=_freeze_options({
-                "factors": factors,
-                "ordering": ordering,
-                "delta": tuple(sorted(delta.items())),
-            }),
-        )
-        for index, (matrix, factors, ordering, delta) in enumerate(jobs)
-    )
-    return ExecutionPlan(algorithm="REFRESH", sequence_length=len(jobs), units=units)
 
 
 def plan_inc(matrices: Sequence[SparseMatrix]) -> ExecutionPlan:

@@ -69,72 +69,10 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
         decompositions = decompose_cluster_clude(
             unit.members, unit.start, unit.cluster_id, stopwatch, **unit.option_dict
         )
-    elif unit.algorithm == "FACTOR":
-        decompositions = [_execute_factor(unit, stopwatch)]
-    elif unit.algorithm == "REFRESH":
-        decompositions = [_execute_refresh(unit, stopwatch)]
     else:  # pragma: no cover - WorkUnit.__post_init__ rejects unknown names
         raise MeasureError(f"unknown work-unit algorithm {unit.algorithm!r}")
     return UnitResult(
         unit_id=unit.unit_id,
         decompositions=decompositions,
         timings=stopwatch.totals(),
-    )
-
-
-def _execute_factor(unit: WorkUnit, stopwatch: Stopwatch) -> MatrixDecomposition:
-    """Factorize one planner system, reporting failure instead of raising.
-
-    The numerical body is exactly the BF unit's (Markowitz + Crout), so
-    planner cold starts keep the bitwise serial≡parallel contract.  A failure
-    — singular system matrix, malformed custom composition — is an *expected*
-    per-query outcome in a serving batch, so it is reported as
-    ``factors=None`` with an annotated ``error`` naming the ``unit_id`` and
-    the unit's ``label`` (the system description the planner attached),
-    matching the REFRESH units' report-don't-raise convention: one poisoned
-    query must not abort its siblings with an undiagnosable worker traceback.
-    """
-    from repro.core.bf import decompose_snapshot_bf
-
-    label = unit.option_dict.get("label")
-    try:
-        return decompose_snapshot_bf(unit.members[0], unit.start, stopwatch)
-    except Exception as error:  # noqa: BLE001 - every failure maps to one report
-        where = f"factor unit {unit.unit_id}" + (f" [{label}]" if label else "")
-        return MatrixDecomposition(
-            index=unit.start,
-            ordering=None,
-            factors=None,
-            fill_size=0,
-            cluster_id=unit.cluster_id,
-            error=f"{where}: {type(error).__name__}: {error}",
-        )
-
-
-def _execute_refresh(unit: WorkUnit, stopwatch: Stopwatch) -> MatrixDecomposition:
-    """Bennett-update one refresh unit's cloned factors in place.
-
-    Numerical failures (fill outside a static pattern, pivot breakdown) are
-    *expected* outcomes with a defined fallback — cold factorization — so
-    they are reported as ``factors=None`` instead of raised; raising inside a
-    worker would abort every sibling unit of the batch.
-    """
-    from repro.errors import PatternError, SingularMatrixError
-    from repro.lu.bennett import bennett_update
-
-    options = unit.option_dict
-    factors = options["factors"]
-    ordering = options["ordering"]
-    delta = dict(options["delta"])
-    with stopwatch.time("bennett"):
-        try:
-            bennett_update(factors, delta)
-        except (PatternError, SingularMatrixError):
-            factors = None
-    return MatrixDecomposition(
-        index=unit.start,
-        ordering=ordering,
-        factors=factors,
-        fill_size=factors.fill_size if factors is not None else 0,
-        cluster_id=unit.cluster_id,
     )

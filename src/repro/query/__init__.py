@@ -4,9 +4,8 @@ The layering this package establishes::
 
     measures (thin drivers: rwr, ppr, pagerank, salsa, hitting_time)
         └── query   (MeasureSpec IR · QueryBatch · QueryPlanner + FactorCache)
-              ├── lu      (Markowitz ordering · Crout factors · substitution)
-              │     └── sparse kernels (CSR matvec / spgemm / batched solves)
-              └── exec    (work units · serial / parallel executors)
+              └── lu      (Markowitz ordering · Crout factors · substitution)
+                    └── sparse kernels (CSR matvec / spgemm / batched solves)
 
 A :class:`MeasureSpec` declares how a measure becomes an ``A x = b``
 instance; a :class:`QueryBatch` collects heterogeneous queries; a
@@ -15,7 +14,10 @@ group down the :class:`ResolutionLadder` (:mod:`repro.query.resolution`)
 — hit, store restore, verbatim reuse, corrected reuse, delta refresh,
 cold factorization — so a system matrix is factorized at most once, then
 answers every group with one batched multi-RHS solve.  The factor and
-result caches live in :mod:`repro.query.cache`.
+result caches live in :mod:`repro.query.cache`.  Misses are resolved
+in-process — the sequence-decomposition executor is not a dependency of
+this package — and serving scales out through sharding
+(:mod:`repro.shard`).
 """
 
 from repro.query.batch import QueryBatch

@@ -1,10 +1,9 @@
 """The planner's two caches: factors by system key, answers by RHS digest.
 
-Split out of the planner monolith so the resolution ladder
+Split out of the planner so the resolution ladder
 (:mod:`repro.query.resolution`) and the planner
 (:mod:`repro.query.planner`) both build on the same cache surface without
-a circular import.  Every name here is re-exported from
-``repro.query.planner`` for backwards compatibility.
+a circular import.
 
 * :class:`FactorCache` holds :class:`~repro.query.spec.FactorizedSystem`
   objects keyed by :class:`~repro.query.spec.SystemKey`, with group-level
@@ -61,6 +60,28 @@ def _apply_entry_delta(matrix: SparseMatrix, delta: Entries) -> SparseMatrix:
         matrix.n, ((i, j, value) for (i, j), value in delta.items())
     )
     return matrix.add(change)
+
+
+def apply_refresh_delta(working: FactorizedSystem, delta: Entries) -> Optional[Entries]:
+    """Bennett-update a cloned system's factors in place by a system delta.
+
+    ``delta`` is in original coordinates; it is mapped through the clone's
+    ordering and applied in sorted-key order.  Both refresh paths (the
+    ladder's :class:`~repro.query.resolution.RefreshTier` and
+    :meth:`FactorCache.refresh`) go through here, so a refreshed system's
+    factors and its recorded provenance depend only on the delta's
+    content.  Returns the applied (mapped, sorted) delta, or ``None`` when
+    the update would fill outside a static factor pattern or a pivot breaks
+    down.
+    """
+    ordering = working.ordering
+    mapped = ordering.map_entries(delta) if ordering is not None else delta
+    applied = dict(sorted(mapped.items()))
+    try:
+        bennett_update(working.factors, applied)
+    except (PatternError, SingularMatrixError):
+        return None
+    return applied
 
 
 class FactorCache:
@@ -373,9 +394,10 @@ class FactorCache:
 
         ``delta`` is the system-matrix entry delta in *original* (unordered)
         coordinates; only its size matters here.  Returns a clone whose
-        factor container may be Bennett-updated in place (e.g. inside an
-        executor work unit), or ``None`` — counting a ``refresh_fallbacks``
-        — when the parent is missing or the delta exceeds the threshold.
+        factor container may be Bennett-updated in place (see
+        :func:`apply_refresh_delta`), or ``None`` — counting a
+        ``refresh_fallbacks`` — when the parent is missing or the delta
+        exceeds the threshold.
         Hit/miss counters are untouched either way.
         """
         cached = self._systems.get(old_key)
@@ -435,39 +457,31 @@ class FactorCache:
         overrides the stored matrix of the result (defaults to
         ``old matrix + delta``).
         """
-        cached = self._systems.get(old_key)
-        if not self._refresh_feasible(cached, delta):
-            self._refresh_fallbacks += 1
-            return None
         # Always sweep on a clone — even when stealing — so a mid-sweep
         # breakdown leaves the parent entry intact and still answering; the
         # old key is dropped only once the refresh has succeeded.
-        working = cached.clone()
-        ordering = working.ordering
-        mapped = ordering.map_entries(delta) if ordering is not None else dict(delta)
-        try:
-            bennett_update(working.factors, mapped)
-        except (PatternError, SingularMatrixError):
-            self._refresh_fallbacks += 1
+        working = self.prepare_refresh(old_key, delta)
+        if working is None:
             return None
+        applied = apply_refresh_delta(working, delta)
+        if applied is None:
+            self.refresh_failed()
+            return None
+        cached = self._systems[old_key]
         if new_matrix is None:
             new_matrix = _apply_entry_delta(cached.matrix, delta)
-        system = FactorizedSystem(new_matrix, ordering, working.factors)
+        system = FactorizedSystem(new_matrix, working.ordering, working.factors)
         if steal:
-            popped = self._systems.pop(old_key, None)
-            if popped is not None:
-                self._spill(old_key, popped)
-                self._provenance.pop(old_key, None)
-                self._invalidate(old_key)
-                self._evicted(old_key)
+            del self._systems[old_key]
+            self._spill(old_key, cached)
+            self._provenance.pop(old_key, None)
+            self._invalidate(old_key)
+            self._evicted(old_key)
         provenance: Optional["RefreshProvenance"] = None
         if self._store is not None:
             from repro.store.factorstore import RefreshProvenance
 
-            # This path applied ``mapped`` in its own insertion order (the
-            # executor refresh units sort theirs); the provenance must
-            # record exactly the order that produced the factors.
-            provenance = RefreshProvenance(old_key, cached, dict(mapped))
+            provenance = RefreshProvenance(old_key, cached, applied)
         self.commit_refresh(new_key, system, provenance=provenance)
         return system
 

@@ -30,11 +30,6 @@ before the substitution sweep, with invalidation driven by the factor
 cache; approximate serves are audited per group as
 :class:`~repro.query.resolution.ApproximationRecord` entries in the
 :class:`BatchResult`.
-
-This module historically also housed the caches and the miss-resolution
-machinery; they now live in :mod:`repro.query.cache` and
-:mod:`repro.query.resolution`, and every historical name is re-exported
-here unchanged.
 """
 
 from __future__ import annotations
@@ -56,30 +51,13 @@ from typing import (
 import numpy as np
 
 from repro.errors import MeasureError
-from repro.exec.executors import Executor
 from repro.graphs.snapshot import GraphSnapshot
 from repro.query.batch import QueryBatch
-from repro.query.cache import (  # noqa: F401  (historical import surface)
-    DEFAULT_REFRESH_THRESHOLD,
-    DEFAULT_RESULT_CACHE_SIZE,
-    FactorCache,
-    ResultCache,
-    ResultKey,
-    _apply_entry_delta,
-)
-from repro.query.resolution import (  # noqa: F401  (historical import surface)
+from repro.query.cache import FactorCache, ResultCache, ResultKey
+from repro.query.resolution import (
     ApproximationRecord,
-    CandidateScan,
-    ColdTier,
-    CorrectedReuseTier,
-    HitTier,
-    RefreshTier,
-    Resolution,
     ResolutionContext,
     ResolutionLadder,
-    ResolutionTier,
-    StoreRestoreTier,
-    VerbatimReuseTier,
 )
 from repro.query.spec import (
     FactorizedSystem,
@@ -339,24 +317,20 @@ class QueryPlanner:
        same-shape snapshot) Bennett-updates a clone of the parent's
        factors: near-exact, cheaper than cold.
     6. **Cold factorization** (:class:`~repro.query.resolution.ColdTier`)
-       — Markowitz + Crout, dispatched as executor work units.
+       — Markowitz + Crout, in-process, one factorization per group.
 
     Verbatim reuse outranks corrected reuse because it does zero numerical
     work; corrected reuse outranks refresh because its setup cost is ``k``
     sweeps instead of a full Bennett pass over the delta, and the policy
     explicitly certifies the accepted loss; refresh outranks cold because it
-    is near-exact and cheaper.  Groups answered at tiers 1–5 never reach the
-    FACTOR unit fan-out; groups answered at tiers 3–4 skip the REFRESH units
-    as well.
+    is near-exact and cheaper.  Groups answered at tiers 1–5 are never
+    factorized; groups answered at tiers 3–4 skip the Bennett refresh as
+    well.  Misses are resolved in-process; serving parallelism comes from
+    sharding (:class:`~repro.shard.planner.ShardedPlanner`), not from the
+    planner.
 
     Parameters
     ----------
-    executor:
-        How cache-miss factorizations are scheduled: ``None`` (default) runs
-        them serially in-process; an ``int`` or an
-        :class:`~repro.exec.executors.Executor` fans independent factor
-        groups out exactly like the sequence-decomposition work units.
-        Results are bitwise identical regardless of the executor.
     cache:
         An existing :class:`FactorCache` to share or pre-seed; a fresh one is
         created when omitted.
@@ -400,7 +374,6 @@ class QueryPlanner:
 
     def __init__(
         self,
-        executor: Union[Executor, int, None] = None,
         cache: Optional[FactorCache] = None,
         auto_refresh: bool = False,
         policy: Optional["ReusePolicy"] = None,
@@ -423,7 +396,6 @@ class QueryPlanner:
                 "pass either cache= or store=: to combine a shared cache "
                 "with a disk tier, construct it as FactorCache(store=...)"
             )
-        self._executor = executor
         if cache is not None:
             self._cache = cache
         else:
@@ -642,7 +614,6 @@ class QueryPlanner:
         return ResolutionContext(
             cache=self._cache,
             policy=self._policy,
-            executor=self._executor,
             auto_refresh=self._auto_refresh,
             lineage=self._lineage,
             snapshot_of=self._snapshot_of,

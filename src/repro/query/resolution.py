@@ -49,15 +49,12 @@ from typing import (
 import numpy as np
 
 from repro.errors import FactorizationError, MeasureError, SingularMatrixError
-from repro.exec.executors import Executor, resolve_executor
-from repro.exec.plan import plan_factor_batch, plan_refresh_batch
 from repro.graphs.delta import GraphDelta
 from repro.graphs.matrixkind import MatrixKind, damping_delta, system_delta
 from repro.graphs.snapshot import GraphSnapshot
 from repro.lu.smw import WoodburyCorrector
-from repro.query.cache import FactorCache
+from repro.query.cache import FactorCache, apply_refresh_delta
 from repro.query.spec import FactorizedSystem, SystemKey, get_spec
-from repro.sparse.csr import SparseMatrix
 from repro.sparse.types import Entries
 
 if TYPE_CHECKING:  # runtime imports are lazy (repro.policy sits above this
@@ -161,8 +158,6 @@ class ResolutionContext:
     cache: FactorCache
     #: the reuse policy gating the approximate tiers
     policy: "ReusePolicy"
-    #: how refresh / factorization work units are scheduled
-    executor: Union[Executor, int, None]
     #: whether a lineage-less miss may scan for the nearest cached parent
     auto_refresh: bool
     #: registered evolutions: new system identity -> (old identity, old, new)
@@ -256,7 +251,7 @@ class ResolutionTier(abc.ABC):
     Tiers are stateless between batches except for scan memos (cleared
     through :meth:`clear_memos` whenever the factor cache changes).  The
     bulk tiers (:class:`RefreshTier`, :class:`ColdTier`) override
-    :meth:`resolve_batch` to fan work units out through the executor;
+    :meth:`resolve_batch` to work through all their groups in one pass;
     their ``try_resolve`` is the singleton special case.
     """
 
@@ -579,11 +574,11 @@ class CorrectedReuseTier(ResolutionTier):
 class RefreshTier(ResolutionTier):
     """Bennett-refresh miss groups from their cached lineage parents (precedence 5).
 
-    A bulk tier: refresh units dispatch through the same executors as
-    factor units, so independent refreshes fan out onto a worker pool.
-    Refreshed systems are committed to the factor cache under their new
-    keys (unlike the reuse tiers' borrowed factors, a refreshed system IS
-    the miss key's system).
+    A bulk tier: each wave prepares every refreshable group's clone, then
+    applies the deltas (:func:`~repro.query.cache.apply_refresh_delta`) and
+    commits in group order.  Refreshed systems are committed to the factor
+    cache under their new keys (unlike the reuse tiers' borrowed factors, a
+    refreshed system IS the miss key's system).
     """
 
     name = "refresh"
@@ -616,8 +611,7 @@ class RefreshTier(ResolutionTier):
         pending = list(groups)
         record_provenance = ctx.cache.disk_store is not None
         while pending:
-            jobs: List[Tuple["PlannedGroup", SparseMatrix, SystemKey, Entries]] = []
-            payloads = []
+            jobs = []
             deferred: List["PlannedGroup"] = []
             for group in pending:
                 parent = self._refresh_parent(group.key, ctx)
@@ -635,57 +629,34 @@ class RefreshTier(ResolutionTier):
                     damping=group.key.damping,
                     delta=graph_delta,
                 )
-                prepared = ctx.cache.prepare_refresh(old_key, entries)
-                if prepared is None:
+                working = ctx.cache.prepare_refresh(old_key, entries)
+                if working is None:
                     cold.append(group)
                     continue
-                ordering = prepared.ordering
-                mapped = (
-                    ordering.map_entries(entries)
-                    if ordering is not None
-                    else dict(entries)
-                )
                 query = group.queries[0]
                 new_matrix = get_spec(query.measure).system_matrix(
                     query.snapshot, query.damping, query.param_dict
                 )
-                jobs.append((group, new_matrix, old_key, mapped))
-                payloads.append((new_matrix, prepared.factors, ordering, mapped))
+                jobs.append((group, old_key, working, entries, new_matrix))
             committed = 0
-            if jobs:
-                exec_plan = plan_refresh_batch(payloads)
-                outcome = resolve_executor(ctx.executor).execute(exec_plan)
-                for (group, new_matrix, old_key, mapped), decomposition in zip(
-                    jobs, outcome.decompositions
-                ):
-                    if decomposition.factors is None:
-                        ctx.cache.refresh_failed()
-                        cold.append(group)
-                        continue
-                    system = FactorizedSystem(
-                        new_matrix, decomposition.ordering, decomposition.factors
-                    )
-                    provenance = None
-                    parent_system = (
-                        ctx.cache.peek(old_key) if record_provenance else None
-                    )
-                    if parent_system is not None:
-                        from repro.store.factorstore import RefreshProvenance
+            for group, old_key, working, entries, new_matrix in jobs:
+                applied = apply_refresh_delta(working, entries)
+                if applied is None:
+                    ctx.cache.refresh_failed()
+                    cold.append(group)
+                    continue
+                system = FactorizedSystem(new_matrix, working.ordering, working.factors)
+                provenance = None
+                parent_system = ctx.cache.peek(old_key) if record_provenance else None
+                if parent_system is not None:
+                    from repro.store.factorstore import RefreshProvenance
 
-                        # The refresh units freeze and apply the delta in
-                        # sorted-key order (see plan_refresh_batch); the
-                        # provenance must record exactly that order for a
-                        # bit-exact replay at restore time.
-                        provenance = RefreshProvenance(
-                            old_key, parent_system, dict(sorted(mapped.items()))
-                        )
-                    ctx.cache.commit_refresh(
-                        group.key, system, provenance=provenance
-                    )
-                    resolved[group.key] = Resolution(
-                        tier=self.name, solver=system, cache_base=group.key
-                    )
-                    committed += 1
+                    provenance = RefreshProvenance(old_key, parent_system, applied)
+                ctx.cache.commit_refresh(group.key, system, provenance=provenance)
+                resolved[group.key] = Resolution(
+                    tier=self.name, solver=system, cache_base=group.key
+                )
+                committed += 1
             if not deferred:
                 break
             if committed == 0:
@@ -748,13 +719,15 @@ class RefreshTier(ResolutionTier):
 class ColdTier(ResolutionTier):
     """Factorize each remaining group's system matrix once (precedence 6).
 
-    The ladder's floor: never passes a group down.  Factor units report
-    failures instead of raising (one poisoned query must not abort its
-    siblings with a bare worker traceback): every healthy group's system
-    is computed *and cached* first, then a single
-    :class:`~repro.errors.FactorizationError` carries the annotated
-    per-unit reports — so a retry without the poisoned queries answers
-    warm from the cache.
+    The ladder's floor: never passes a group down.  Every group's system
+    matrix is built first, then factorized with
+    :meth:`~repro.query.spec.FactorizedSystem.factorize`.  A failed
+    factorization is reported, not raised on the spot (one poisoned query
+    must not cost its siblings their answers): every healthy group's system
+    is cached in group order first, then a single
+    :class:`~repro.errors.FactorizationError` carries one annotated report
+    per failed group — so a retry without the poisoned queries answers warm
+    from the cache.
     """
 
     name = "cold"
@@ -768,30 +741,25 @@ class ColdTier(ResolutionTier):
     def resolve_batch(
         self, groups: Sequence["PlannedGroup"], ctx: ResolutionContext
     ) -> Tuple[Dict[SystemKey, Resolution], List["PlannedGroup"]]:
-        if not groups:
-            return {}, []
         matrices = []
-        labels = []
         for group in groups:
             query = group.queries[0]
-            spec = get_spec(query.measure)
             matrices.append(
-                spec.system_matrix(query.snapshot, query.damping, query.param_dict)
+                get_spec(query.measure).system_matrix(
+                    query.snapshot, query.damping, query.param_dict
+                )
             )
-            labels.append(self._describe_group(group))
-        exec_plan = plan_factor_batch(matrices, labels=labels)
-        outcome = resolve_executor(ctx.executor).execute(exec_plan)
         resolved: Dict[SystemKey, Resolution] = {}
         failures: List[str] = []
-        for group, matrix, label, decomposition in zip(
-            groups, matrices, labels, outcome.decompositions
-        ):
-            if decomposition.factors is None:
-                failures.append(decomposition.error or f"factorization failed [{label}]")
+        for index, (group, matrix) in enumerate(zip(groups, matrices)):
+            try:
+                system = FactorizedSystem.factorize(matrix)
+            except Exception as error:  # every failure maps to one report
+                failures.append(
+                    f"factor unit {index} [{self._describe_group(group)}]: "
+                    f"{type(error).__name__}: {error}"
+                )
                 continue
-            system = FactorizedSystem(
-                matrix, decomposition.ordering, decomposition.factors
-            )
             resolved[group.key] = Resolution(
                 tier=self.name, solver=system, cache_base=group.key
             )
@@ -846,11 +814,11 @@ class ResolutionLadder:
     :class:`ResolutionTier` or a tuple of tiers to fuse group-major.
     Stages run tier-major: every pending group is offered to a stage
     before the next stage sees the leftovers — which is what lets the
-    bulk tiers (refresh waves, batched factorization) fan their work
-    units out through the executor in one go.  Within a fused stage each
-    group walks the stage's tiers in order before the next group starts —
-    the default ladder fuses (hit, store-restore) so a disk restore's
-    cache install lands exactly where :meth:`FactorCache.lookup` put it.
+    bulk tiers (refresh waves, batched factorization) handle all their
+    groups in one pass.  Within a fused stage each group walks the stage's
+    tiers in order before the next group starts — the default ladder fuses
+    (hit, store-restore) so a disk restore's cache install lands exactly
+    where :meth:`FactorCache.lookup` put it.
 
     A ladder belongs to one planner: the reuse tiers' scan memos are
     cleared through the *owning* planner's factor-cache listeners, so

@@ -42,11 +42,11 @@ from typing import Deque, Dict, Hashable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import MeasureError
-from repro.exec.executors import Executor
 from repro.graphs.matrixkind import DEFAULT_DAMPING, validate_damping
 from repro.graphs.snapshot import GraphSnapshot
 from repro.query.batch import QueryBatch
-from repro.query.planner import FactorCache, QueryPlanner, ResultCache
+from repro.query.cache import FactorCache, ResultCache
+from repro.query.planner import QueryPlanner
 from repro.query.spec import Query, get_spec, make_query
 from repro.serve.stats import (
     DEFAULT_HISTORY,
@@ -125,9 +125,9 @@ class MeasureServer:
     ----------
     planner:
         The planner to serve from.  When omitted, one is constructed from
-        ``executor`` / ``cache`` / ``auto_refresh`` / ``policy`` /
-        ``result_cache`` (which are rejected when an explicit planner is
-        passed — the planner already owns those choices).
+        ``cache`` / ``auto_refresh`` / ``policy`` / ``result_cache`` (which
+        are rejected when an explicit planner is passed — the planner
+        already owns those choices).
     max_batch:
         Admission-window size: a window flushes as soon as this many queries
         are pending (larger batches amortize planning and share substitution
@@ -151,7 +151,7 @@ class MeasureServer:
         head delta-refresh the parent's cached factors.  Disable for
         unboundedly evolving streams served by ``auto_refresh`` or a
         :class:`~repro.policy.qc.QCPolicy`, which need no per-pair state
-        (with a size-bounded :class:`~repro.query.planner.FactorCache` the
+        (with a size-bounded :class:`~repro.query.cache.FactorCache` the
         lineage registry is bounded either way: entries are pruned when
         their parent's factors are evicted).
     history:
@@ -179,7 +179,6 @@ class MeasureServer:
         *,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-        executor: Union[Executor, int, None] = None,
         cache: Optional[FactorCache] = None,
         auto_refresh: bool = False,
         policy: Optional[object] = None,
@@ -198,25 +197,23 @@ class MeasureServer:
         self._owns_planner = False
         if planner is not None:
             conflicting = (
-                executor is not None or cache is not None or auto_refresh
-                or policy is not None or result_cache is not None
-                or store is not None or shards != 1
+                cache is not None or auto_refresh or policy is not None
+                or result_cache is not None or store is not None or shards != 1
             )
             if conflicting:
                 raise MeasureError(
                     "pass either a planner or planner-construction arguments "
-                    "(executor/cache/auto_refresh/policy/result_cache/store/"
-                    "shards), not both"
+                    "(cache/auto_refresh/policy/result_cache/store/shards), "
+                    "not both"
                 )
         elif shards > 1:
             # Sharded serving: admission windows fan out across a pool of
             # persistent worker processes; updates broadcast to every shard
-            # at batch boundaries in stream order.  Each worker runs its own
-            # serial planner, so a per-batch executor has no role here.
-            if executor is not None or cache is not None:
+            # at batch boundaries in stream order.
+            if cache is not None:
                 raise MeasureError(
                     "shards>1 replicates planner state per worker process — "
-                    "per-batch executor/cache instances cannot be shared; "
+                    "a cache instance cannot be shared; "
                     "configure auto_refresh/policy/result_cache/store instead"
                 )
             from repro.shard.planner import ShardedPlanner
@@ -231,7 +228,6 @@ class MeasureServer:
             self._owns_planner = True
         else:
             planner = QueryPlanner(
-                executor=executor,
                 cache=cache,
                 auto_refresh=auto_refresh,
                 policy=policy,
@@ -351,7 +347,7 @@ class MeasureServer:
         the spill sees a consistent working set and runs *on the serving
         thread* — the planner is never touched concurrently.  The future
         resolves to the number of systems checkpointed (see
-        :meth:`~repro.query.planner.FactorCache.checkpoint`), or raises
+        :meth:`~repro.query.cache.FactorCache.checkpoint`), or raises
         :class:`~repro.errors.MeasureError` when the planner's cache has no
         store attached.  A replacement server constructed over the same
         store directory then answers every checkpointed system from disk,

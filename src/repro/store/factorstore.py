@@ -30,7 +30,7 @@ Every restore failure — missing file, torn/corrupt blob
 (:class:`~repro.errors.StoreFormatError`), parent payload mismatch, pattern
 violation or pivot breakdown during replay — degrades to ``None``: the
 caller treats it as a store miss and cold-factorizes, mirroring
-:meth:`~repro.query.planner.FactorCache.refresh` fallback semantics.  A bad
+:meth:`~repro.query.cache.FactorCache.refresh` fallback semantics.  A bad
 checkpoint is never served.
 """
 
@@ -63,7 +63,7 @@ from repro.store.serialize import (
 class RefreshProvenance:
     """How a refresh-produced system's factors came to be.
 
-    Recorded by :class:`~repro.query.planner.FactorCache` when a refresh
+    Recorded by :class:`~repro.query.cache.FactorCache` when a refresh
     commits, consumed at spill time to write a delta checkpoint instead of a
     full one.
 

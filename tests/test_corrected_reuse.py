@@ -53,7 +53,7 @@ from repro.lu import (
 from repro.policy import CorrectedPolicy, CorrectionDecision, QCPolicy
 from repro.policy.corrected import ranked_update_columns
 from repro.query import QueryBatch, QueryPlanner
-from repro.query.planner import ApproximationRecord
+from repro.query.resolution import ApproximationRecord
 from repro.query.spec import MeasureSpec, get_spec, make_query, register_spec, unregister_spec
 from repro.serve.stats import StatsCollector
 from repro.sparse.csr import SparseMatrix

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.solver import EMSSolver
-from repro.errors import MeasureError, PatternError, SingularMatrixError
+from repro.errors import MeasureError, SingularMatrixError
 from repro.graphs.delta import GraphDelta, touched_nodes, touched_sources
 from repro.graphs.generators import growing_egs
 from repro.graphs.matrixkind import (
@@ -46,7 +46,6 @@ from repro.query import (
     make_query,
     system_key,
 )
-from repro.sparse.pattern import SparsityPattern
 
 #: Refreshed answers agree with cold factorization to this tolerance.
 TOLERANCE = 1e-8
@@ -278,21 +277,59 @@ class TestFactorCacheRefresh:
         with pytest.raises(MeasureError):
             FactorCache(refresh_threshold=-0.1)
 
-    def test_refresh_unit_reports_pattern_violation_as_none(self):
-        # A diagonal-only static pattern cannot absorb off-diagonal fill, so
-        # the REFRESH work-unit body must surface factors=None, not raise.
-        from repro.exec.executors import SerialExecutor
-        from repro.exec.plan import plan_refresh_batch
 
-        factors = StaticLUFactors(SparsityPattern(3, set()))
-        for k in range(3):
-            factors.set_l_diagonal(k, 1.0)
-        with pytest.raises(PatternError):
-            bennett_update(factors.copy(), {(1, 0): 0.5})
-        matrix = measure_matrix(GraphSnapshot(3, [(0, 1)]))
-        plan = plan_refresh_batch([(matrix, factors, None, {(1, 0): 0.5})])
-        outcome = SerialExecutor().execute(plan)
-        assert outcome.decompositions[0].factors is None
+def _checkpointed_provenance(cache, key, monkeypatch):
+    """Checkpoint ``cache`` and return the provenance its store got for ``key``."""
+    from repro.store import FactorStore
+
+    seen = {}
+    save = FactorStore.save
+
+    def recording(store, saved_key, system, provenance=None):
+        seen[saved_key] = provenance
+        return save(store, saved_key, system, provenance)
+
+    monkeypatch.setattr(FactorStore, "save", recording)
+    cache.checkpoint()
+    return seen[key]
+
+
+class TestOneRefreshBody:
+    def test_cache_refresh_equals_planner_lineage_refresh(self, tmp_path, monkeypatch):
+        """``FactorCache.refresh`` and the ladder's refresh tier apply a delta
+        through one body: same factor bits, same recorded delta order."""
+        from repro.store import FactorStore
+
+        rng = np.random.default_rng(5)
+        before = random_snapshot(rng, 40, 140)
+        after = evolve(rng, before, additions=2, removals=2)
+        old_key = system_key(make_query("pagerank", before))
+        new_key = system_key(make_query("pagerank", after))
+        delta = system_delta(before, after)
+        parent = FactorizedSystem.factorize(measure_matrix(before))
+        mapped = parent.ordering.map_entries(delta)
+        # The reordered delta arrives unsorted, so an insertion-order apply
+        # would differ from the tier's sorted one.
+        assert list(mapped) != sorted(mapped)
+
+        planner = QueryPlanner(store=FactorStore(str(tmp_path / "planner")))
+        planner.run(QueryBatch().add_pagerank(before))
+        planner.register_evolution(before, after)
+        assert planner.run(QueryBatch().add_pagerank(after)).stats.refreshes == 1
+        via_tier = planner.cache.peek(new_key)
+
+        cache = FactorCache(store=FactorStore(str(tmp_path / "cache")))
+        cache.seed(old_key, parent)
+        via_cache = cache.refresh(old_key, new_key, delta,
+                                  new_matrix=measure_matrix(after))
+
+        assert via_cache.ordering == via_tier.ordering
+        assert sorted(via_cache.factors.l_items()) == sorted(via_tier.factors.l_items())
+        assert sorted(via_cache.factors.u_items()) == sorted(via_tier.factors.u_items())
+        tier_delta = _checkpointed_provenance(planner.cache, new_key, monkeypatch).delta
+        cache_delta = _checkpointed_provenance(cache, new_key, monkeypatch).delta
+        assert list(tier_delta.items()) == list(cache_delta.items())
+        assert list(cache_delta) == sorted(mapped)
 
 
 class TestCloneSemantics:
@@ -595,21 +632,6 @@ class TestPlannerRefresh:
         # every miss group was either refreshed or cold-factorized
         assert (outcome.stats.refreshes + outcome.stats.factorizations
                 == outcome.stats.groups - outcome.stats.cache_hits)
-
-    @pytest.mark.slow
-    def test_parallel_refresh_bitwise_equals_serial(self):
-        before, after = _evolved_pair(seed=21)
-        batch = QueryBatch().add_pagerank(after).add_rwr(after, 3)
-        answers = {}
-        for name, executor in (("serial", None), ("parallel", 2)):
-            planner = QueryPlanner(executor=executor)
-            planner.run(QueryBatch().add_pagerank(before).add_rwr(before, 3))
-            planner.register_evolution(before, after)
-            outcome = planner.run(batch)
-            assert outcome.stats.refreshes == 1
-            answers[name] = outcome
-        for serial, parallel in zip(answers["serial"], answers["parallel"]):
-            assert serial.tobytes() == parallel.tobytes()
 
 
 # ---------------------------------------------------------------------- #

@@ -159,91 +159,3 @@ class TestExecutors:
         assert isinstance(decomposition, MatrixDecomposition)
         assert isinstance(decomposition.ordering, Ordering)
         assert result.timings["ordering"] >= 0.0
-
-
-class TestFactorUnits:
-    """FACTOR units: the planner's cold-start fan-out, report-don't-raise.
-
-    Regression: a raised exception inside a factor work unit aborted the
-    whole parallel batch with a bare worker traceback.  Failures are now
-    reported on the decomposition (``factors=None`` + an ``error`` naming
-    the ``unit_id`` and the unit's label), matching REFRESH units, so one
-    poisoned system cannot sink its batch siblings undiagnosably.
-    """
-
-    def _singular(self, n=3):
-        from repro.sparse.csr import SparseMatrix
-
-        return SparseMatrix(n, {(0, 0): 1.0, (1, 1): 1.0})  # zero (2,2) pivot
-
-    def test_plan_builds_one_labelled_unit_per_matrix(self, tiny_ems):
-        from repro.exec.plan import plan_factor_batch
-
-        matrices = list(tiny_ems)[:2]
-        plan = plan_factor_batch(matrices, labels=["first", "second"])
-        assert plan.algorithm == "FACTOR"
-        assert len(plan) == 2
-        assert [unit.option_dict.get("label") for unit in plan.units] == [
-            "first", "second",
-        ]
-        for unit in plan.units:
-            assert unit.algorithm == "FACTOR"
-            assert len(unit.members) == 1
-
-    def test_plan_validation(self, tiny_ems):
-        from repro.exec.plan import plan_factor_batch
-
-        with pytest.raises(EmptySequenceError):
-            plan_factor_batch([])
-        with pytest.raises(MeasureError):
-            plan_factor_batch(list(tiny_ems)[:2], labels=["only one"])
-
-    def test_factor_unit_matches_bf_body_bitwise(self, tiny_ems):
-        from repro.exec.plan import plan_factor_batch
-
-        matrices = list(tiny_ems)
-        factor = SerialExecutor().execute(plan_factor_batch(matrices))
-        reference = SerialExecutor().execute(plan_bf(matrices))
-        for mine, bf in zip(factor.decompositions, reference.decompositions):
-            assert mine.error is None
-            assert mine.ordering == bf.ordering
-            assert mine.fill_size == bf.fill_size
-            for row in range(mine.factors.n):
-                assert mine.factors.l_column_entries(row) == \
-                    bf.factors.l_column_entries(row)
-                assert mine.factors.u_row_entries(row) == \
-                    bf.factors.u_row_entries(row)
-
-    def test_singular_unit_reports_instead_of_raising(self):
-        from repro.exec.plan import plan_factor_batch
-
-        plan = plan_factor_batch([self._singular()], labels=["measure='bad'"])
-        result = execute_unit(plan.units[0])
-        (decomposition,) = result.decompositions
-        assert decomposition.factors is None
-        assert decomposition.error is not None
-        assert "factor unit 0" in decomposition.error
-        assert "measure='bad'" in decomposition.error
-        assert "Singular" in decomposition.error
-
-    def test_poisoned_sibling_does_not_abort_the_batch(self, tiny_ems):
-        from repro.exec.plan import plan_factor_batch
-
-        healthy = list(tiny_ems)[0]
-        plan = plan_factor_batch(
-            [healthy, self._singular(), healthy],
-            labels=["good", "bad", "good"],
-        )
-        for executor in (SerialExecutor(), ParallelExecutor(workers=2)):
-            outcome = executor.execute(plan)
-            errors = [d.error for d in outcome.decompositions]
-            assert errors[0] is None and errors[2] is None
-            assert "factor unit 1 [bad]" in errors[1]
-            assert outcome.decompositions[0].factors is not None
-
-    def test_factor_unit_pickles(self, tiny_ems):
-        from repro.exec.plan import plan_factor_batch
-
-        unit = plan_factor_batch(list(tiny_ems)[:1], labels=["l"]).units[0]
-        clone = pickle.loads(pickle.dumps(unit))
-        assert clone == unit

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core.solver import EMSSolver
 from repro.errors import MeasureError
-from repro.exec.executors import SerialExecutor
 from repro.graphs.generators import growing_egs
 from repro.graphs.matrixkind import MatrixKind
 from repro.graphs.snapshot import GraphSnapshot
@@ -433,12 +432,6 @@ class TestSeriesOnPlanner:
         with pytest.raises(MeasureError):
             solver.seed_planner()
 
-    def test_seed_planner_rejects_executor_with_existing_planner(self):
-        egs = growing_egs(nodes=10, snapshots=2, initial_edges=16, edges_per_step=2)
-        solver = EMSSolver.from_graphs(egs, algorithm="BF")
-        with pytest.raises(MeasureError):
-            solver.seed_planner(planner=QueryPlanner(), executor=2)
-
     def test_graph_context_only_via_from_graphs(self, tiny_ems):
         # Direct construction cannot attach (possibly inconsistent) graph
         # context; from_graphs composes the EMS from the context itself.
@@ -528,23 +521,6 @@ class TestRhsBlockBuilders:
             assert answer.tobytes() == block[:, column].tobytes()
 
 
-@pytest.mark.slow
-class TestPlannerExecutors:
-    def test_parallel_factorization_bitwise_equal_serial(self, tiny_graph, second_graph):
-        batch = (
-            QueryBatch()
-            .add_pagerank(tiny_graph)
-            .add_pagerank(second_graph)
-            .add_rwr(tiny_graph, 0, damping=0.6)
-            .add_hitting_time(second_graph, 1)
-        )
-        serial = QueryPlanner(executor=SerialExecutor()).run(batch)
-        parallel = QueryPlanner(executor=2).run(batch)
-        assert serial.stats.factorizations == parallel.stats.factorizations == 4
-        for left, right in zip(serial, parallel):
-            assert left.tobytes() == right.tobytes()
-
-
 class TestFactorizationFailures:
     """One unsolvable system must fail diagnosably, not sink the batch.
 
@@ -571,11 +547,10 @@ class TestFactorizationFailures:
         yield spec
         unregister_spec(spec.name)
 
-    @pytest.mark.parametrize("executor", [None, 2])
-    def test_error_names_the_failing_unit(self, tiny_graph, singular_spec, executor):
+    def test_error_names_the_failing_unit(self, tiny_graph, singular_spec):
         from repro.errors import FactorizationError
 
-        planner = QueryPlanner(executor=executor)
+        planner = QueryPlanner()
         batch = (QueryBatch()
                  .add_pagerank(tiny_graph)
                  .add(make_query("singular_system_test", tiny_graph))

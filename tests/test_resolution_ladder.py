@@ -13,8 +13,9 @@
 3. **Localized SALSA deltas**: property test that the column-restricted
    provider equals the full composed-matrix diff *exactly* on random
    digraph evolutions, plus the provider-registry dispatch surface.
-4. **Layering**: the split modules import standalone, without cycles, and
-   every historical import path still resolves to the same objects.
+4. **Layering**: the split modules import standalone, without cycles, the
+   package surfaces name the home modules' objects, and the query and
+   serving layers import nothing from the sequence executor.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MeasureError
+from repro.errors import MeasureError, PatternError, SingularMatrixError
 from repro.graphs.matrixkind import (
     MatrixKind,
     delta_provider,
@@ -192,6 +193,119 @@ class TestTierCounting:
         assert isinstance(stages[0][1], StoreRestoreTier)
         kinds = tuple(type(stage[0]) for stage in stages[1:])
         assert kinds == (VerbatimReuseTier, CorrectedReuseTier, RefreshTier, ColdTier)
+
+
+def _factor_state(system):
+    """Ordering, fill and every stored L/U entry of a factorized system."""
+    return (
+        tuple(system.ordering.row.order),
+        tuple(system.ordering.column.order),
+        system.factors.fill_size,
+        system.factors.structural_ops,
+        tuple(sorted(system.factors.l_items())),
+        tuple(sorted(system.factors.u_items())),
+    )
+
+
+class TestBulkTiers:
+    """The refresh and cold tiers resolve their groups in-process."""
+
+    @pytest.fixture()
+    def singular_spec(self):
+        from repro.query.spec import MeasureSpec, get_spec, register_spec, unregister_spec
+        from repro.sparse.csr import SparseMatrix
+
+        spec = MeasureSpec(
+            name="singular_ladder_test",
+            kind=MatrixKind.RANDOM_WALK,
+            build_rhs=get_spec("pagerank").build_rhs,
+            build_matrix=lambda snapshot, damping, params: SparseMatrix(
+                snapshot.n, {(0, 0): 1.0}
+            ),
+        )
+        register_spec(spec)
+        yield spec
+        unregister_spec(spec.name)
+
+    def test_cold_factors_equal_the_bf_body_bitwise(self, snap0):
+        from repro.core.bf import decompose_snapshot_bf
+        from repro.core.result import Stopwatch
+
+        planner = QueryPlanner(result_cache=0)
+        stats = planner.run(all_measure_batch(snap0)).stats
+        keys = list(planner.cache.keys())
+        assert len(keys) == stats.resolutions["cold"] > 1
+        for key in keys:
+            system = planner.cache.peek(key)
+            bf = decompose_snapshot_bf(system.matrix, 0, Stopwatch())
+            assert _factor_state(system) == _factor_state(bf), key
+
+    def test_singular_group_is_reported_by_unit_and_label(self, snap0, singular_spec):
+        from repro.errors import FactorizationError
+        from repro.query import QueryBatch, make_query, system_key
+
+        planner = QueryPlanner()
+        query = make_query("singular_ladder_test", snap0)
+        with pytest.raises(FactorizationError) as excinfo:
+            planner.run(QueryBatch().add(query))
+        (failure,) = excinfo.value.failures
+        assert failure.startswith("factor unit 0 [measure='singular_ladder_test'")
+        assert ": SingularMatrixError: " in failure
+        assert system_key(query) not in list(planner.cache.keys())
+
+    def test_poisoned_group_does_not_stop_its_siblings(self, snap0, singular_spec):
+        from repro.errors import FactorizationError
+        from repro.query import QueryBatch, make_query, system_key
+
+        planner = QueryPlanner()
+        planner.run(QueryBatch().add_pagerank(snap0))
+        rwr = make_query("rwr", snap0, start_node=3, damping=0.6)
+        hub = make_query("salsa_hub", snap0)
+        batch = (QueryBatch()
+                 .add_pagerank(snap0)  # a hit: not among the cold groups
+                 .add(rwr)
+                 .add(make_query("singular_ladder_test", snap0))
+                 .add(hub))
+        with pytest.raises(FactorizationError) as excinfo:
+            planner.run(batch)
+        (failure,) = excinfo.value.failures
+        assert failure.startswith("factor unit 1 [measure='singular_ladder_test'")
+        assert ": SingularMatrixError: " in failure
+        # Both healthy siblings were cached, in group order, before the raise.
+        assert list(planner.cache.keys())[-2:] == [system_key(rwr), system_key(hub)]
+
+    @pytest.mark.parametrize("error", [
+        PatternError("fill outside the static pattern"),
+        SingularMatrixError(0, 0.0),
+    ], ids=["pattern", "pivot"])
+    def test_bennett_breakdown_counts_a_fallback_and_answers_cold(
+        self, monkeypatch, error
+    ):
+        snaps = workload_snapshots()
+
+        def evolved_run():
+            planner = QueryPlanner(result_cache=0)
+            planner.run(all_measure_batch(snaps[0]))
+            planner.register_evolution(snaps[0], snaps[1])
+            outcome = planner.run(all_measure_batch(snaps[1]))
+            return outcome, planner.cache.cache_info()
+
+        control, control_info = evolved_run()
+        refreshed = control.stats.resolutions["refresh"]
+        assert refreshed > 0
+
+        def breakdown(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("repro.query.cache.bennett_update", breakdown)
+        outcome, info = evolved_run()
+        resolutions = outcome.stats.resolutions
+        assert resolutions["refresh"] == 0
+        assert resolutions["cold"] == control.stats.resolutions["cold"] + refreshed
+        assert info["refresh_fallbacks"] == control_info["refresh_fallbacks"] + refreshed
+        reference = QueryPlanner().run(all_measure_batch(snaps[1]))
+        for answer, expected in zip(outcome, reference):
+            assert answer.tobytes() == expected.tobytes()
 
 
 class TestServerResolutions:
@@ -381,28 +495,35 @@ class TestLayering:
         assert "repro.query.planner" not in resolution_imports
         assert "repro.query.cache" in resolution_imports
 
-    def test_historical_import_paths_still_resolve(self):
-        """Every pre-split spelling keeps working and names the same object."""
+    def test_package_surfaces_name_home_objects(self):
+        """``repro.query`` re-exports the objects of their home modules."""
         import repro
         import repro.query
         import repro.query.cache as cache_mod
         import repro.query.planner as planner_mod
         import repro.query.resolution as resolution_mod
 
-        for name in ("ApproximationRecord", "BatchResult", "DirectAnswer",
-                     "FactorCache", "PlannedGroup", "PlannerStats", "QueryPlan",
-                     "QueryPlanner", "ResultCache"):
-            assert hasattr(planner_mod, name), name
-            assert getattr(repro.query, name) is getattr(planner_mod, name), name
-        # The moved classes are the same objects under old and new homes.
-        assert planner_mod.FactorCache is cache_mod.FactorCache
-        assert planner_mod.ResultCache is cache_mod.ResultCache
-        assert planner_mod.ApproximationRecord is resolution_mod.ApproximationRecord
-        assert planner_mod.DEFAULT_REFRESH_THRESHOLD == cache_mod.DEFAULT_REFRESH_THRESHOLD
-        assert planner_mod.DEFAULT_RESULT_CACHE_SIZE == cache_mod.DEFAULT_RESULT_CACHE_SIZE
-        # Top-level package surface.
+        homes = {
+            cache_mod: ("FactorCache", "ResultCache"),
+            planner_mod: ("BatchResult", "DirectAnswer", "PlannedGroup",
+                          "PlannerStats", "QueryPlan", "QueryPlanner"),
+            resolution_mod: ("ApproximationRecord", "ResolutionLadder"),
+        }
+        for module, names in homes.items():
+            for name in names:
+                assert getattr(repro.query, name) is getattr(module, name), name
         for name in ("FactorCache", "ResultCache", "ApproximationRecord",
                      "QueryPlanner", "ResolutionLadder", "ResolutionTier",
                      "system_delta", "register_delta_provider",
                      "delta_provider", "registered_delta_kinds"):
             assert hasattr(repro, name), name
+
+    def test_query_and_serve_import_nothing_from_exec(self):
+        """Serving parallelism is the shard pool alone: the query and
+        serving layers never reach into the sequence executor."""
+        root = Path(__file__).parents[1]
+        for package in ("src/repro/query", "src/repro/serve"):
+            for path in sorted((root / package).glob("*.py")):
+                relpath = str(path.relative_to(root))
+                imported = self._imported_modules(relpath)
+                assert not [m for m in imported if m.startswith("repro.exec")], relpath

@@ -46,11 +46,8 @@ def test_explicit_planner_conflicts_with_shards():
 
 
 def test_sharded_server_rejects_instance_arguments():
-    from repro.exec import ParallelExecutor
     from repro.query import FactorCache
 
-    with pytest.raises(MeasureError):
-        MeasureServer(shards=2, executor=ParallelExecutor(workers=2))
     with pytest.raises(MeasureError):
         MeasureServer(shards=2, cache=FactorCache())
     with pytest.raises(MeasureError):
